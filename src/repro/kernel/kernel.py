@@ -434,11 +434,13 @@ class Kernel:
                                   network=self.network)
         description.peer = server_end
         server_end.peer = description
+        description.mark()
         description.remote_addr = (host, port)
         server_end.local_addr = (host, port)
         server_end.remote_addr = (task.machine.name, 0)
         if not listener.enqueue(server_end):
             description.peer = None
+            description.mark()
             return SysResult(-ECONNREFUSED)
         return SysResult(0)
 

@@ -29,11 +29,12 @@ class Pollable(FileDescription):
     def __init__(self, sim) -> None:
         super().__init__()
         self.sim = sim
-        #: Epoll instances watching this description, in registration
-        #: order.  A dict, not a set: ``poke`` iterates it and wakes
-        #: waiters, and set order follows object addresses — two epolls
-        #: ready at the same tick would wake their sleepers in a
-        #: heap-layout-dependent order, breaking run-to-run determinism.
+        #: Epoll instance → the fds it watches this description under,
+        #: epolls in registration order.  A dict, not a set: ``poke``
+        #: iterates it and wakes waiters, and set order follows object
+        #: addresses — two epolls ready at the same tick would wake their
+        #: sleepers in a heap-layout-dependent order, breaking run-to-run
+        #: determinism.
         self.watchers: Dict = {}
         self.read_waiters = WaitQueue(sim)
         self.write_waiters = WaitQueue(sim)
@@ -47,6 +48,19 @@ class Pollable(FileDescription):
             self.write_waiters.notify_all()
         for epoll in list(self.watchers):
             epoll.poke(self)
+
+    def mark(self) -> None:
+        """Readiness may have risen with no wakeup due: put our fds on
+        every watching epoll's ready list without waking anyone."""
+        for epoll, fds in self.watchers.items():
+            epoll.mark(fds)
+
+    def decref(self) -> None:
+        if self.refcount == 1:
+            # Each watching epoll prunes us at its next scan.
+            for epoll in self.watchers:
+                epoll.dying(self)
+        super().decref()
 
 
 class StreamBuffer:
@@ -168,6 +182,7 @@ class StreamSocket(Pollable):
         self.shutdown_write()
         if self.peer is not None:
             self.peer.peer = None
+            self.peer.mark()
         self.poke()
 
 

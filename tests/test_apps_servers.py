@@ -21,6 +21,9 @@ from repro.clients import (
 from repro.costmodel import SEC_PS
 from repro.world import World
 
+# Every epoll scan and wakeup is checked against the brute-force scan.
+pytestmark = pytest.mark.usefixtures("epoll_shadow")
+
 
 def drive(server_main, client_mains, files=None, until_s=20.0):
     world = World()

@@ -15,6 +15,9 @@ import pytest
 
 from repro.faults.chaos import run_plan
 
+# Every epoll scan and wakeup is checked against the brute-force scan.
+pytestmark = pytest.mark.usefixtures("epoll_shadow")
+
 CORPUS_DIR = Path(__file__).parent / "corpus"
 ENTRIES = sorted(CORPUS_DIR.glob("chaos-*.json"))
 

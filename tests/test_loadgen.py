@@ -23,6 +23,9 @@ from repro.costmodel import SEC_PS, US_PS
 from repro.errors import NvxError
 from repro.world import World, default_engine
 
+# Every epoll scan and wakeup is checked against the brute-force scan.
+pytestmark = pytest.mark.usefixtures("epoll_shadow")
+
 
 # -- LatencyDigest -----------------------------------------------------------
 
